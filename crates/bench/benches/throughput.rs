@@ -206,8 +206,8 @@ fn measure_intra(
 }
 
 /// Serve the workload over **real TCP sockets**: a loopback `TcpCloudServer` with a
-/// `sessions`-wide worker pool, one `RemoteSession` per session thread, the same
-/// round-robin query deal as `QueryServer::serve`.  Real sockets give real-socket
+/// `sessions`-wide worker pool, one networked `DirectSession` per session thread, the
+/// same round-robin query deal as `QueryServer::serve`.  Real sockets give real-socket
 /// numbers; the simulated `LinkProfile` rows stay the reproducible baseline.
 fn measure_tcp(
     owner: &DataOwner,

@@ -10,8 +10,8 @@
 //! [`sectopk_protocols::LeakageLedger`]s that the sub-protocols populate: after a query,
 //! each cloud's recorded view must contain *only* event kinds allowed by its profile.
 //! (The realisations of EncSort / EncCompare additionally reveal comparison outcomes of
-//! anonymous items to S1 and blinded signs to S2 — see DESIGN.md — so those kinds are
-//! part of the allowed sets.)
+//! anonymous items to S1 and blinded signs to S2, so those kinds are part of the allowed
+//! sets.)
 
 use std::fmt;
 

@@ -88,10 +88,7 @@ pub use planner::{plan, PlanDecision, PlannerInputs, VariantCosts};
 pub use query::{sec_query, QueryConfig, QueryOutcome, QueryStats, QueryVariant};
 pub use results::{resolve_results, resolved_object_ids, ResolvedResult};
 pub use scheme::{AuthorizedClient, DataOwner};
-pub use session::{
-    execute_with_clouds, plan_for, resolution_rng, DirectSession, Outsourced, RemoteSession,
-    ResolvedTopK, Session,
-};
+pub use session::{plan_for, DirectSession, Outsourced, RemoteSession, ResolvedTopK, Session};
 
 // Re-exported so facade users can describe link profiles, transports and remote
 // connection policy without depending on the protocols crate directly.

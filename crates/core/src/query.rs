@@ -15,7 +15,9 @@
 //! into the global list, `EncSort` by worst score and an encrypted halting check.  The
 //! halting check follows Algorithm 1's semantics (every object outside the current top-k
 //! — seen or unseen — must be dominated), which is slightly stronger than the
-//! `W_k ≥ B_{k+1}` shortcut written in Algorithm 3; see DESIGN.md.
+//! `W_k ≥ B_{k+1}` shortcut written in Algorithm 3: the check also compares `W_k`
+//! against the sum of the lists' current bottom scores, the best score an unseen object
+//! can still reach.
 
 use std::time::Instant;
 

@@ -1,6 +1,7 @@
 //! The `Session` abstraction: one front door for executing top-k queries, whether the
-//! caller talks to a dedicated two-cloud deployment ([`DirectSession`]) or to a shared
-//! multi-session query server (`sectopk-server::QueryClient`).
+//! caller talks to a dedicated two-cloud deployment ([`DirectSession`], over any
+//! transport, local or a remote `sectopk-s2d` over TCP) or to a shared multi-session
+//! query server (`sectopk-server::QueryClient`, which wraps a [`DirectSession`]).
 //!
 //! ```text
 //!   Query::top_k(k).attributes(…)           DataOwner::outsource(R)
@@ -12,9 +13,11 @@
 //!      ResolvedTopK  ◀── resolve_results ◀── encrypted top-k + QueryStats (incl. plan)
 //! ```
 //!
-//! Every implementation executes through the same [`execute_with_clouds`] engine, so
-//! tests, benches and examples observe identical behaviour regardless of which session
-//! type they run against.
+//! [`DirectSession`] is the only type that owns a session's clouds, keys and resolution
+//! randomness, and the only code that runs that pipeline; every [`Session`]
+//! implementation reaches it through [`Session::direct`], so tests, benches and
+//! examples observe identical behaviour regardless of which session type they run
+//! against.
 
 use std::sync::Arc;
 
@@ -23,7 +26,7 @@ use rand::{CryptoRng, RngCore, SeedableRng};
 
 use sectopk_crypto::keys::MasterKeys;
 use sectopk_protocols::{
-    ChannelMetrics, LeakageLedger, LinkProfile, RetryPolicy, TcpOptions, TransportKind, TwoClouds,
+    ChannelMetrics, LeakageLedger, LinkProfile, TcpOptions, TransportKind, TwoClouds,
 };
 use sectopk_storage::{encrypt_relation, EncryptedRelation, EncryptionStats, ObjectId, Relation};
 
@@ -55,19 +58,9 @@ impl Outsourced {
         &self.er
     }
 
-    /// Shared handle to the encrypted relation.
-    pub fn er_arc(&self) -> Arc<EncryptedRelation> {
-        Arc::clone(&self.er)
-    }
-
     /// The object-id universe used for result resolution.
     pub fn object_ids(&self) -> &[ObjectId] {
         &self.object_ids
-    }
-
-    /// Shared handle to the object-id universe.
-    pub fn object_ids_arc(&self) -> Arc<Vec<ObjectId>> {
-        Arc::clone(&self.object_ids)
     }
 
     /// Number of objects `n`.
@@ -114,36 +107,63 @@ impl ResolvedTopK {
 ///
 /// Implemented by [`DirectSession`] (a dedicated two-cloud deployment) and by
 /// `sectopk-server::QueryClient` (one session of a shared multi-session server), so
-/// every test, bench and example runs against the same abstraction.
+/// every test, bench and example runs against the same abstraction.  Every method but
+/// the [`Session::direct`] accessors is provided on top of the [`DirectSession`] they
+/// return; an implementation overrides only what it adds (the query server records each
+/// outcome of [`Session::execute`]).
 pub trait Session {
+    /// The dedicated session this one runs its queries on.
+    fn direct(&self) -> &DirectSession;
+
+    /// Mutable access to [`Session::direct`].
+    fn direct_mut(&mut self) -> &mut DirectSession;
+
     /// Number of objects `n` of the outsourced relation.
-    fn num_objects(&self) -> usize;
+    fn num_objects(&self) -> usize {
+        self.direct().outsourced.num_objects()
+    }
 
     /// Number of attributes `M` of the outsourced relation.
-    fn num_attributes(&self) -> usize;
+    fn num_attributes(&self) -> usize {
+        self.direct().outsourced.num_attributes()
+    }
 
     /// The inter-cloud link this session runs over (feeds the planner's cost model).
-    fn link(&self) -> LinkProfile;
+    fn link(&self) -> LinkProfile {
+        self.direct().clouds.link_profile()
+    }
 
     /// Whether round-trip batching is enabled on the transport.
-    fn batching(&self) -> bool;
+    fn batching(&self) -> bool {
+        self.direct().clouds.batching()
+    }
 
     /// Execute one query end to end: validate, mint the token, plan the variant (when
     /// the query says [`VariantChoice::Auto`]), run `SecQuery`, and resolve the
     /// encrypted answer with the key holder's material.
-    fn execute(&mut self, query: &Query) -> Result<ResolvedTopK>;
+    fn execute(&mut self, query: &Query) -> Result<ResolvedTopK> {
+        self.direct_mut().run(query)
+    }
 
     /// Cumulative channel traffic of this session.
-    fn metrics(&self) -> ChannelMetrics;
+    fn metrics(&self) -> ChannelMetrics {
+        self.direct().clouds.channel()
+    }
 
     /// Snapshot of everything this session's S1 observed.
-    fn s1_ledger(&self) -> LeakageLedger;
+    fn s1_ledger(&self) -> LeakageLedger {
+        self.direct().clouds.s1_ledger().clone()
+    }
 
     /// Snapshot of everything this session's S2 engine observed.
-    fn s2_ledger(&self) -> LeakageLedger;
+    fn s2_ledger(&self) -> LeakageLedger {
+        self.direct().clouds.s2_ledger()
+    }
 
     /// Reset the channel metrics and both ledgers (e.g. between queries).
-    fn reset_accounting(&mut self);
+    fn reset_accounting(&mut self) {
+        self.direct_mut().clouds.reset_accounting();
+    }
 
     /// The plan the session would run `query` under, without executing it.
     fn plan(&self, query: &Query) -> PlanDecision {
@@ -167,29 +187,16 @@ pub fn plan_for(query: &Query, n: usize, link: LinkProfile, batching: bool) -> P
     }
 }
 
-/// The shared execution engine behind every [`Session`] implementation: token, plan,
-/// `SecQuery`, resolution.  `keys` is the key holder's material (token generation and
-/// result resolution both need it) and `rng` its local randomness.
-pub fn execute_with_clouds<R: RngCore + CryptoRng>(
-    clouds: &mut TwoClouds,
-    er: &EncryptedRelation,
-    object_ids: &[ObjectId],
-    keys: &MasterKeys,
-    rng: &mut R,
-    query: &Query,
-) -> Result<ResolvedTopK> {
-    query.validate_for(er.num_attributes())?;
-    let token = sectopk_storage::generate_token(&keys.prp_key, er.num_attributes(), query.spec())?;
-    let decision = plan_for(query, er.num_objects(), clouds.link_profile(), clouds.batching());
-    let config = query.config_with(decision.variant);
-    let mut outcome = sec_query(clouds, er, &token, &config)?;
-    outcome.stats.plan = Some(decision);
-    let results = resolve_results(&outcome.top_k, object_ids, keys, rng)?;
-    Ok(ResolvedTopK { results, outcome })
-}
-
-/// A dedicated two-cloud session: the data owner's keys, the outsourced relation, and a
-/// private [`TwoClouds`] deployment.  Create one with [`DataOwner::connect`].
+/// A two-cloud session: the data owner's keys, the outsourced relation, a [`TwoClouds`]
+/// deployment over any transport, and the key holder's result-resolution randomness.
+/// Create one with [`DataOwner::connect`], [`DataOwner::connect_remote`] (S2 is a
+/// `sectopk-s2d` process across a TCP socket), or [`DirectSession::new`] around
+/// clouds built by hand.
+///
+/// Determinism carries over every transport: sessions with seed *s* produce results,
+/// ledgers and metrics byte-identical whether S2 runs in-process, behind a worker pool
+/// or across the wire (the TCP handshake provisions the remote S2 engine from the same
+/// seed derivation).
 #[derive(Debug)]
 pub struct DirectSession {
     clouds: TwoClouds,
@@ -198,28 +205,23 @@ pub struct DirectSession {
     rng: StdRng,
 }
 
-/// The key holder's result-resolution RNG for a session with the given seed.
-///
-/// Every [`Session`] implementation — [`DirectSession`] here and the query server's
-/// `QueryClient` — derives its resolution randomness through this one function, so a
-/// session replayed with the same seed resolves identically regardless of which
-/// deployment shape it runs in.  It is independent of the clouds' protocol randomness.
-pub fn resolution_rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed ^ 0x7E50_15E5)
-}
+/// Alias of [`DirectSession`], kept only because the `e2e-bench` package names it for
+/// its networked session; new code names [`DirectSession`].
+pub type RemoteSession = DirectSession;
 
 impl DirectSession {
-    pub(crate) fn new(
-        clouds: TwoClouds,
-        outsourced: Outsourced,
-        keys: MasterKeys,
-        seed: u64,
-    ) -> Self {
-        DirectSession { clouds, outsourced, keys, rng: resolution_rng(seed) }
+    /// Wrap `clouds` (built from `keys` with `seed`) into a session on `outsourced`.
+    /// The key holder's resolution randomness derives from `seed` too, independently of
+    /// the clouds' protocol randomness, so a session replayed with the same seed
+    /// resolves identically whatever deployment shape it runs in.
+    pub fn new(clouds: TwoClouds, outsourced: Outsourced, keys: MasterKeys, seed: u64) -> Self {
+        let rng = StdRng::seed_from_u64(seed ^ 0x7E50_15E5);
+        DirectSession { clouds, outsourced, keys, rng }
     }
 
     /// The underlying two-cloud context — the protocol-level escape hatch for tests and
-    /// tools that drive individual sub-protocols (`sec_worst_depth`, `sec_dedup`, …).
+    /// tools that drive individual sub-protocols (`sec_worst_depth`, `sec_dedup`, …) or
+    /// raw round trips over the socket.
     pub fn clouds(&self) -> &TwoClouds {
         &self.clouds
     }
@@ -233,51 +235,36 @@ impl DirectSession {
     pub fn outsourced(&self) -> &Outsourced {
         &self.outsourced
     }
+
+    /// Token, plan, `SecQuery`, resolution: the one execution path behind every
+    /// [`Session`].
+    fn run(&mut self, query: &Query) -> Result<ResolvedTopK> {
+        let er = self.outsourced.er();
+        query.validate_for(er.num_attributes())?;
+        let token =
+            sectopk_storage::generate_token(&self.keys.prp_key, er.num_attributes(), query.spec())?;
+        let decision =
+            plan_for(query, er.num_objects(), self.clouds.link_profile(), self.clouds.batching());
+        let config = query.config_with(decision.variant);
+        let mut outcome = sec_query(&mut self.clouds, er, &token, &config)?;
+        outcome.stats.plan = Some(decision);
+        let results = resolve_results(
+            &outcome.top_k,
+            self.outsourced.object_ids(),
+            &self.keys,
+            &mut self.rng,
+        )?;
+        Ok(ResolvedTopK { results, outcome })
+    }
 }
 
 impl Session for DirectSession {
-    fn num_objects(&self) -> usize {
-        self.outsourced.num_objects()
+    fn direct(&self) -> &DirectSession {
+        self
     }
 
-    fn num_attributes(&self) -> usize {
-        self.outsourced.num_attributes()
-    }
-
-    fn link(&self) -> LinkProfile {
-        self.clouds.link_profile()
-    }
-
-    fn batching(&self) -> bool {
-        self.clouds.batching()
-    }
-
-    fn execute(&mut self, query: &Query) -> Result<ResolvedTopK> {
-        let outsourced = self.outsourced.clone();
-        execute_with_clouds(
-            &mut self.clouds,
-            outsourced.er(),
-            outsourced.object_ids(),
-            &self.keys,
-            &mut self.rng,
-            query,
-        )
-    }
-
-    fn metrics(&self) -> ChannelMetrics {
-        self.clouds.channel()
-    }
-
-    fn s1_ledger(&self) -> LeakageLedger {
-        self.clouds.s1_ledger().clone()
-    }
-
-    fn s2_ledger(&self) -> LeakageLedger {
-        self.clouds.s2_ledger()
-    }
-
-    fn reset_accounting(&mut self) {
-        self.clouds.reset_accounting();
+    fn direct_mut(&mut self) -> &mut DirectSession {
+        self
     }
 }
 
@@ -324,110 +311,24 @@ impl DataOwner {
         let clouds = TwoClouds::with_transport(self.keys(), seed, kind, batching)?;
         Ok(DirectSession::new(clouds, outsourced.clone(), self.keys().clone(), seed))
     }
-}
 
-/// A networked two-cloud session: S1 runs locally, the crypto cloud S2 is a remote
-/// `sectopk-s2d` process reached over a real TCP socket.  Create one with
-/// [`DataOwner::connect_remote`]; it mirrors [`DataOwner::connect`], so callers switch
-/// from in-process to networked execution by changing one constructor — everything
-/// downstream is the same [`Session`] front door.
-///
-/// Determinism carries over the wire: a remote session with seed *s* produces results,
-/// ledgers and metrics byte-identical to a [`DirectSession`] with seed *s* (the
-/// connection handshake provisions the remote S2 engine from the same seed derivation).
-#[derive(Debug)]
-pub struct RemoteSession {
-    inner: DirectSession,
-    addr: String,
-    retry: RetryPolicy,
-}
-
-impl RemoteSession {
-    /// The `host:port` address of the S2 process this session is connected to.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// The transparent-retry budget this session's transport runs under: how it
-    /// reconnects, resumes its server-side session and re-sends the unacknowledged
-    /// exchange after a transient failure.  [`RetryPolicy::none`] (the default) fails
-    /// fast; failures that outlive the budget surface as transient
-    /// [`SecTopKError`](crate::SecTopKError)s — see
-    /// [`SecTopKError::is_transient`](crate::SecTopKError::is_transient).
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// The underlying two-cloud context — the protocol-level escape hatch the
-    /// failure-injection suite uses to drive raw round trips over the socket.
-    pub fn clouds(&self) -> &TwoClouds {
-        self.inner.clouds()
-    }
-
-    /// Mutable access to the underlying two-cloud context.
-    pub fn clouds_mut(&mut self) -> &mut TwoClouds {
-        self.inner.clouds_mut()
-    }
-
-    /// The outsourced relation this session queries.
-    pub fn outsourced(&self) -> &Outsourced {
-        self.inner.outsourced()
-    }
-}
-
-impl Session for RemoteSession {
-    fn num_objects(&self) -> usize {
-        self.inner.num_objects()
-    }
-
-    fn num_attributes(&self) -> usize {
-        self.inner.num_attributes()
-    }
-
-    fn link(&self) -> LinkProfile {
-        self.inner.link()
-    }
-
-    fn batching(&self) -> bool {
-        self.inner.batching()
-    }
-
-    fn execute(&mut self, query: &Query) -> Result<ResolvedTopK> {
-        self.inner.execute(query)
-    }
-
-    fn metrics(&self) -> ChannelMetrics {
-        self.inner.metrics()
-    }
-
-    fn s1_ledger(&self) -> LeakageLedger {
-        self.inner.s1_ledger()
-    }
-
-    fn s2_ledger(&self) -> LeakageLedger {
-        self.inner.s2_ledger()
-    }
-
-    fn reset_accounting(&mut self) {
-        self.inner.reset_accounting();
-    }
-}
-
-impl DataOwner {
     /// Open a networked two-cloud session on `outsourced` against the `sectopk-s2d`
     /// process listening at `addr` (`"host:port"`), with batching enabled and default
-    /// connection policy.  Mirrors [`DataOwner::connect`].
+    /// connection policy.  Mirrors [`DataOwner::connect`]: callers switch from
+    /// in-process to networked execution by changing one constructor.
     pub fn connect_remote(
         &self,
         outsourced: &Outsourced,
         addr: &str,
         seed: u64,
-    ) -> Result<RemoteSession> {
+    ) -> Result<DirectSession> {
         self.connect_remote_with(outsourced, addr, seed, true, TcpOptions::default())
     }
 
     /// [`DataOwner::connect_remote`] with an explicit batching policy and connection
-    /// options (retry budget, timeouts, proposed session id).
+    /// options (retry budget, timeouts, proposed session id).  Failures that outlive
+    /// the retry budget surface as transient [`SecTopKError`](crate::SecTopKError)s —
+    /// see [`SecTopKError::is_transient`](crate::SecTopKError::is_transient).
     pub fn connect_remote_with(
         &self,
         outsourced: &Outsourced,
@@ -435,11 +336,9 @@ impl DataOwner {
         seed: u64,
         batching: bool,
         options: TcpOptions,
-    ) -> Result<RemoteSession> {
-        let retry = options.retry;
+    ) -> Result<DirectSession> {
         let clouds = TwoClouds::connect_tcp(self.keys(), seed, batching, addr, options)?;
-        let inner = DirectSession::new(clouds, outsourced.clone(), self.keys().clone(), seed);
-        Ok(RemoteSession { inner, addr: addr.to_string(), retry })
+        Ok(DirectSession::new(clouds, outsourced.clone(), self.keys().clone(), seed))
     }
 }
 

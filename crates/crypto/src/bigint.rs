@@ -1,8 +1,8 @@
 //! Multi-precision helpers shared by the Paillier and Damgård–Jurik implementations.
 //!
-//! `num-bigint` provides the raw arbitrary-precision arithmetic (see DESIGN.md §3 for the
-//! dependency justification); this module adds the number-theoretic operations the
-//! cryptosystems need: modular inverse, random sampling in `Z_N` and `Z_N^*`, the
+//! `num-bigint` provides the raw arbitrary-precision arithmetic (the one arithmetic
+//! dependency: every cryptographic construction above it is implemented in this crate);
+//! this module adds the number-theoretic operations the cryptosystems need: modular inverse, random sampling in `Z_N` and `Z_N^*`, the
 //! symmetric ("signed") plaintext representation used for score comparisons, and L-function
 //! style exact divisions.
 

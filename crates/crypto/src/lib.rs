@@ -5,7 +5,7 @@
 //!
 //! Everything the paper's construction relies on below the data-structure level lives
 //! here and is implemented from scratch (on top of `num-bigint` for raw multi-precision
-//! arithmetic — see `DESIGN.md` for the dependency policy):
+//! arithmetic only):
 //!
 //! * [`sha256`] / [`hmac`] — SHA-256 and HMAC-SHA-256, the PRF instantiation of the EHL.
 //! * [`prime`] — Miller–Rabin prime generation for key generation.

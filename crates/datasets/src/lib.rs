@@ -5,8 +5,8 @@
 //! The paper evaluates on three UCI datasets (insurance, diabetes, PAMAP) and a synthetic
 //! Gaussian dataset.  The raw UCI files are not bundled with this reproduction; instead
 //! each generator produces a deterministic synthetic relation with the same cardinality,
-//! attribute count, value ranges and distribution shape (see DESIGN.md §2 — the
-//! protocols' cost depends only on those parameters, not on the actual UCI values).
+//! attribute count, value ranges and distribution shape (the protocols' cost depends
+//! only on those parameters, not on the actual UCI values).
 //! Every generator accepts a `scale` factor so tests and laptop benches can run on
 //! proportionally smaller instances while `--paper-scale` reproduces the full sizes.
 

@@ -9,8 +9,8 @@
 //! serializable [`S1Request`] / [`S2Response`] round trip,
 //! metered in the transport's [`ChannelMetrics`] and reflected in the per-party
 //! [`LeakageLedger`]s.  The transport is selected by [`TransportKind`] (or the
-//! `SECTOPK_TRANSPORT` environment variable): in-process for speed, or a real
-//! thread-backed message channel.
+//! `SECTOPK_TRANSPORT` environment variable): in-process for speed, a session of an S2
+//! worker pool that receives nothing but serialized bytes, or a real TCP socket.
 
 use std::fmt;
 use std::sync::Arc;
@@ -30,9 +30,7 @@ use crate::engine::EngineProvision;
 use crate::ledger::LeakageLedger;
 use crate::multiplex::{LinkProfile, MultiplexServer, MultiplexTransport, SessionId};
 use crate::tcp::{TcpOptions, TcpTransport};
-use crate::transport::{
-    ChannelTransport, InProcessTransport, S1Request, S2Response, Transport, TransportKind,
-};
+use crate::transport::{InProcessTransport, S1Request, S2Response, Transport, TransportKind};
 
 /// State held by the primary cloud S1 during protocol execution.
 #[derive(Debug)]
@@ -103,7 +101,7 @@ impl TwoClouds {
     /// Set up the two clouds with an explicit transport and batching policy.
     /// [`TransportKind::Multiplex`] gives the session a private single-worker
     /// [`MultiplexServer`]; to share one server across sessions use
-    /// [`TwoClouds::connect`].
+    /// [`TwoClouds::connect_with_workers`].
     pub fn with_transport(
         master: &MasterKeys,
         seed: u64,
@@ -113,7 +111,6 @@ impl TwoClouds {
         Self::build(master, seed, batching, |provision| {
             Ok(match kind {
                 TransportKind::InProcess => Box::new(InProcessTransport::new(provision.build())),
-                TransportKind::Channel => Box::new(ChannelTransport::new(provision.build())),
                 TransportKind::Multiplex => {
                     Box::new(MultiplexTransport::private(provision.build(), LinkProfile::ideal())?)
                 }
@@ -147,35 +144,15 @@ impl TwoClouds {
         })
     }
 
-    /// Set up the two clouds as session `session` of a shared [`MultiplexServer`].
+    /// Set up the two clouds as session `session` of a shared [`MultiplexServer`], with
+    /// `intra_workers` worker threads for *both* sides — S1's client loops and the
+    /// session's S2 engine.  Worker count never affects protocol bytes.
     ///
     /// The S1-side state and the session's S2 engine are derived from `seed` exactly as
     /// in [`TwoClouds::with_transport`], so a session connected with seed *s* is
     /// byte-identical to a dedicated-transport run with seed *s* — the serving layer
     /// picks per-session seeds (e.g. [`sectopk_crypto::pool::shard_seed`]) to keep
     /// concurrent sessions deterministic and decorrelated.
-    pub fn connect(
-        master: &MasterKeys,
-        seed: u64,
-        batching: bool,
-        server: &MultiplexServer,
-        session: SessionId,
-        link: LinkProfile,
-    ) -> Result<Self> {
-        Self::connect_with_workers(
-            master,
-            seed,
-            batching,
-            server,
-            session,
-            link,
-            crate::engine::intra_workers_from_env(),
-        )
-    }
-
-    /// [`TwoClouds::connect`] with an explicit intra-query worker count applied to
-    /// *both* sides — S1's client loops and the session's S2 engine — instead of the
-    /// `SECTOPK_INTRA_PARALLEL` default.  Worker count never affects protocol bytes.
     #[allow(clippy::too_many_arguments)]
     pub fn connect_with_workers(
         master: &MasterKeys,
@@ -438,8 +415,8 @@ mod tests {
         let master = MasterKeys::generate(MIN_MODULUS_BITS, 2, &mut rng).unwrap();
         let a = TwoClouds::with_transport(&master, 1, TransportKind::InProcess, true).unwrap();
         assert_eq!(a.transport_kind(), TransportKind::InProcess);
-        let b = TwoClouds::with_transport(&master, 1, TransportKind::Channel, false).unwrap();
-        assert_eq!(b.transport_kind(), TransportKind::Channel);
+        let b = TwoClouds::with_transport(&master, 1, TransportKind::Multiplex, false).unwrap();
+        assert_eq!(b.transport_kind(), TransportKind::Multiplex);
         assert!(!b.batching());
     }
 }

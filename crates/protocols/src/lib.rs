@@ -10,8 +10,7 @@
 //!   the S2 engine, with the [`channel::ChannelMetrics`] accounting and the per-party
 //!   [`ledger::LeakageLedger`].
 //! * [`transport`] — the typed [`transport::S1Request`] / [`transport::S2Response`]
-//!   message layer, round-trip batching, and the in-process / threaded channel
-//!   implementations.
+//!   message layer, round-trip batching, and the in-process implementation.
 //! * [`multiplex`] — session-multiplexed serving: one S2 worker pool answering many
 //!   concurrent S1 sessions over session-tagged envelopes, with per-session ledgers,
 //!   metrics and deterministic nonce-pool shards.
@@ -20,8 +19,8 @@
 //!   listener ([`tcp::TcpCloudServer`]) feeding connections into the multiplex pool.
 //! * [`engine`] — the crypto cloud S2 as a request-processing engine (all S2-side
 //!   protocol logic, keys and randomness).
-//! * [`wire`] — the binary codec every message is measured (and, on the threaded
-//!   transport, actually shipped) in.
+//! * [`wire`] — the binary codec every message is measured (and, on the multiplexed
+//!   and TCP transports, actually shipped) in.
 //! * [`primitives`] — batched EHL equality tests, `RecoverEnc` (Algorithm 5), encrypted
 //!   selection, and the `EncCompare` realisation.
 //! * [`sort`] — `EncSort` as a Batcher network of encrypted compare-exchange gates.
@@ -91,8 +90,7 @@ pub use tcp::{
     MAX_FRAME_LEN, TCP_PROTOCOL_VERSION,
 };
 pub use transport::{
-    ChannelTransport, InProcessTransport, S1Request, S2Response, Transport, TransportKind,
-    TRANSPORT_ENV,
+    InProcessTransport, S1Request, S2Response, Transport, TransportKind, TRANSPORT_ENV,
 };
 pub use update::UpdateMode;
 pub use wire::{WireError, WireErrorCode};

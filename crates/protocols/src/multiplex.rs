@@ -5,10 +5,10 @@
 //!
 //! The paper's deployment (§3.2) is a *service*: the primary cloud S1 answers top-k
 //! queries for many independent clients, using the crypto cloud S2 as a co-processor.
-//! [`crate::transport::ChannelTransport`] models one S1 talking to one dedicated S2
-//! thread; this module generalises it to the served workload — a [`MultiplexServer`]
-//! owns a pool of S2 worker threads and a registry of per-session state, and every
-//! connected [`MultiplexTransport`] is one S1 session:
+//! This module serves that workload: a [`MultiplexServer`] owns a pool of S2 worker
+//! threads and a registry of per-session state, and every connected
+//! [`MultiplexTransport`] is one S1 session ([`MultiplexTransport::private`] gives one
+//! session a dedicated single-worker server of its own):
 //!
 //! ```text
 //!   session 1  S1 ──┐                               ┌── worker 1 ──┐
@@ -43,12 +43,11 @@
 //! # Wire envelope
 //!
 //! Every message on the multiplexed channel is an [`Envelope`]: a fixed 16-byte header
-//! (session id and sequence number, both little-endian `u64`) followed by the same
-//! tag-plus-payload frame [`crate::transport::ChannelTransport`] ships.  The server
-//! echoes the header on the reply, and the transport verifies the echo, so a response
-//! can never be attributed to the wrong session or request.  Metering counts the
-//! payload only (headers and tags are local framing, exactly as on the other
-//! transports), which keeps [`crate::channel::ChannelMetrics`] byte-identical across
+//! (session id and sequence number, both little-endian `u64`) followed by a frame — one
+//! tag byte, then the wire-encoded message.  The server echoes the header on the reply,
+//! and the transport verifies the echo, so a response can never be attributed to the
+//! wrong session or request.  Metering counts the payload only (headers and tags are
+//! local framing), which keeps [`crate::channel::ChannelMetrics`] byte-identical across
 //! all three transport implementations.
 //!
 //! # Simulated link
@@ -109,9 +108,7 @@ use crate::engine::S2Engine;
 use crate::error::{ProtocolError, Result};
 use crate::ledger::LeakageLedger;
 use crate::plock::PoisonFree;
-use crate::transport::{
-    frame, framed, response_or_error, S1Request, S2Response, Transport, TransportKind,
-};
+use crate::transport::{response_or_error, S1Request, S2Response, Transport, TransportKind};
 use crate::wire;
 use crate::wire::WireError;
 
@@ -137,7 +134,7 @@ pub struct Envelope {
     pub session: SessionId,
     /// Request counter within the session; replies echo the request's value.
     pub seq: u64,
-    /// Frame bytes: one tag byte (see `transport::frame`) followed by the wire payload.
+    /// Frame bytes: one tag byte (see `frame`) followed by the wire payload.
     pub frame: Vec<u8>,
 }
 
@@ -166,6 +163,39 @@ impl Envelope {
             frame: frame.to_vec(),
         })
     }
+}
+
+/// Frame tags (one leading tag byte, then the wire-encoded payload): the frame every
+/// [`Envelope`] carries, on the multiplexed channel and on the TCP socket alike.
+pub(crate) mod frame {
+    /// S1 → S2: a protocol request (payload: [`crate::transport::S1Request`]).
+    pub const REQUEST: u8 = 0;
+    /// S1 → S2: fetch S2's ledger snapshot (control plane, unmetered).
+    pub const FETCH_LEDGER: u8 = 1;
+    /// S1 → S2: clear S2's ledger and session state (control plane, unmetered).
+    pub const RESET: u8 = 2;
+    /// S1 → S2: terminate one worker of the S2 pool.
+    pub const SHUTDOWN: u8 = 3;
+    /// S1 → S2: close one session, dropping its server-side state.
+    pub const DISCONNECT: u8 = 4;
+    /// S2 → S1: a protocol response (payload: [`crate::transport::S2Response`]).
+    pub const RESPONSE: u8 = 16;
+    /// S2 → S1: the requested ledger snapshot.
+    pub const LEDGER: u8 = 17;
+    /// S2 → S1: acknowledgement of a reset.
+    pub const RESET_DONE: u8 = 18;
+    /// S2 → S1: acknowledgement of a session disconnect.  Makes teardown synchronous,
+    /// so a session id can be reused the moment its previous owner is dropped.
+    pub const DISCONNECT_DONE: u8 = 19;
+}
+
+/// Prefix the wire encoding of `payload` with a frame tag byte.
+pub(crate) fn framed<T: Serialize>(tag: u8, payload: &T) -> Vec<u8> {
+    let body = wire::to_bytes(payload);
+    let mut out = Vec::with_capacity(1 + body.len());
+    out.push(tag);
+    out.extend_from_slice(&body);
+    out
 }
 
 /// Characteristics of the simulated S1 ↔ S2 link.  [`LinkProfile::ideal`] (the default)
@@ -901,8 +931,8 @@ impl Transport for MultiplexTransport {
     }
 
     fn s2_ledger(&self) -> LeakageLedger {
-        // Control traffic is unmetered and skips the simulated link; like the threaded
-        // transport, a dead server must fail loudly rather than return an empty ledger.
+        // Control traffic is unmetered and skips the simulated link.  A dead server must
+        // fail loudly rather than return an empty ledger.
         let payload = self
             .control(frame::FETCH_LEDGER, frame::LEDGER)
             .expect("multiplex server unavailable while fetching the session ledger");
@@ -945,7 +975,7 @@ mod tests {
     use sectopk_crypto::paillier::{generate_keypair, MIN_MODULUS_BITS};
     use sectopk_crypto::pool::shard_seed;
 
-    use crate::transport::ChannelTransport;
+    use crate::transport::InProcessTransport;
 
     fn master(seed: u64) -> MasterKeys {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -979,20 +1009,20 @@ mod tests {
     }
 
     #[test]
-    fn multiplexed_session_matches_dedicated_channel_transport() {
+    fn multiplexed_session_matches_the_in_process_transport() {
         let master = master(21);
         let server = MultiplexServer::new(2);
         let mut mux =
             server.connect(SessionId(5), engine_for(&master, 99), LinkProfile::ideal()).unwrap();
-        let mut channel = ChannelTransport::new(engine_for(&master, 99));
+        let mut reference = InProcessTransport::new(engine_for(&master, 99));
 
         let mut rng_a = StdRng::seed_from_u64(3);
         let mut rng_b = StdRng::seed_from_u64(3);
         let a = mux.round_trip(compare_request(&master, -4, &mut rng_a)).unwrap();
-        let b = channel.round_trip(compare_request(&master, -4, &mut rng_b)).unwrap();
+        let b = reference.round_trip(compare_request(&master, -4, &mut rng_b)).unwrap();
         assert_eq!(a, b, "same engine seed must answer identically");
-        assert_eq!(mux.metrics(), channel.metrics(), "metering must be transport-invariant");
-        assert_eq!(mux.s2_ledger().events(), channel.s2_ledger().events());
+        assert_eq!(mux.metrics(), reference.metrics(), "metering must be transport-invariant");
+        assert_eq!(mux.s2_ledger().events(), reference.s2_ledger().events());
         assert_eq!(mux.kind(), TransportKind::Multiplex);
     }
 

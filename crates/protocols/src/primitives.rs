@@ -22,11 +22,9 @@
 //! that the two values are equal), and a magnitude scaled by an unknown α.  S1 learns the
 //! comparison outcome, which is what the functionality is supposed to deliver.  This
 //! keeps the message pattern, round count and asymptotic cost of \[11\] while remaining a
-//! few hundred lines; the residual leakage is recorded in the ledgers and called out in
-//! DESIGN.md.
+//! few hundred lines; the residual leakage is recorded in the ledgers.
 
 use num_bigint::BigUint;
-use num_traits::Zero;
 use rand::Rng;
 
 use crate::error::{ProtocolError, Result};
@@ -444,11 +442,6 @@ impl TwoClouds {
             acc = pk.add(&acc, s);
         }
         acc
-    }
-
-    /// Encrypt a fresh zero under the shared public key (pooled nonce).
-    pub fn fresh_zero(&mut self) -> Result<Ciphertext> {
-        Ok(self.s1.pool.encrypt(&BigUint::zero())?)
     }
 }
 

@@ -11,8 +11,9 @@
 //!
 //! Leakage: S1 learns the outcome of every comparator, i.e. the rank order of the
 //! (anonymous, freshly re-randomized) items — which is exactly the output the
-//! functionality hands to S1 anyway.  S2 sees only uniformly flipped, scaled signs.  See
-//! DESIGN.md for the discussion of this substitution.
+//! functionality hands to S1 anyway.  S2 sees only uniformly flipped, scaled signs.  Both
+//! views are recorded in the ledgers and allowed by the leakage profiles, so the
+//! substitution is checked on every query rather than assumed.
 
 use crate::error::Result;
 use sectopk_crypto::paillier::Ciphertext;

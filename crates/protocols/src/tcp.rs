@@ -99,11 +99,10 @@ use crate::engine::EngineProvision;
 use crate::error::{ProtocolError, Result};
 use crate::ledger::LeakageLedger;
 use crate::multiplex::{
-    AttachReason, Envelope, MultiplexServer, SessionConduit, SessionId, SubmitError,
+    frame, framed, AttachReason, Envelope, MultiplexServer, SessionConduit, SessionId, SubmitError,
 };
 use crate::plock::PoisonFree;
-use crate::transport::TransportKind;
-use crate::transport::{frame, framed, response_or_error, S1Request, S2Response, Transport};
+use crate::transport::{response_or_error, S1Request, S2Response, Transport, TransportKind};
 use crate::wire::{self, WireError};
 
 /// Version of the TCP handshake and framing.  Bumped on any incompatible change; the
@@ -470,19 +469,6 @@ impl TcpOptions {
         self
     }
 
-    /// Set the connect retry budget.
-    pub fn with_connect_attempts(mut self, attempts: u32) -> Self {
-        self.connect_attempts = attempts.max(1);
-        self
-    }
-
-    /// Set both socket timeouts.
-    pub fn with_timeouts(mut self, read: Duration, write: Duration) -> Self {
-        self.read_timeout = read;
-        self.write_timeout = write;
-        self
-    }
-
     /// Enable transparent retry under `policy`.
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = policy;
@@ -492,12 +478,6 @@ impl TcpOptions {
     /// Inject faults on `plan`'s schedule.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self
-    }
-
-    /// Seed the deterministic backoff jitter explicitly.
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
         self
     }
 }
@@ -923,7 +903,7 @@ impl Transport for TcpTransport {
         let out_frame = framed(frame::REQUEST, &request);
         // Metered size = wire payload only; the tag byte, the 16-byte envelope header
         // and the 4-byte length prefix are framing, keeping metrics identical across
-        // all four transports.  Metered exactly once per *logical* exchange: a
+        // all three transports.  Metered exactly once per *logical* exchange: a
         // recovery re-send is a physical retransmit, not new protocol traffic.
         self.metrics.record(Direction::S1ToS2, out_frame.len() - 1, request.ciphertext_count());
         self.seq += 1;
@@ -1699,7 +1679,7 @@ mod tests {
     use sectopk_crypto::keys::MasterKeys;
     use sectopk_crypto::paillier::{generate_keypair, MIN_MODULUS_BITS};
 
-    use crate::transport::ChannelTransport;
+    use crate::transport::InProcessTransport;
 
     fn master(seed: u64) -> MasterKeys {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1783,7 +1763,7 @@ mod tests {
     }
 
     #[test]
-    fn loopback_session_matches_dedicated_channel_transport() {
+    fn loopback_session_matches_the_in_process_transport() {
         let master = master(41);
         let server = TcpCloudServer::bind("127.0.0.1:0", 2).unwrap();
         let mut tcp = TcpTransport::connect(
@@ -1792,15 +1772,15 @@ mod tests {
             TcpOptions::default(),
         )
         .unwrap();
-        let mut channel = ChannelTransport::new(provision_for(&master, 99).build());
+        let mut reference = InProcessTransport::new(provision_for(&master, 99).build());
 
         let mut rng_a = StdRng::seed_from_u64(3);
         let mut rng_b = StdRng::seed_from_u64(3);
         let a = tcp.round_trip(compare_request(&master, -4, &mut rng_a)).unwrap();
-        let b = channel.round_trip(compare_request(&master, -4, &mut rng_b)).unwrap();
+        let b = reference.round_trip(compare_request(&master, -4, &mut rng_b)).unwrap();
         assert_eq!(a, b, "same engine seed must answer identically over TCP");
-        assert_eq!(tcp.metrics(), channel.metrics(), "metering must be transport-invariant");
-        assert_eq!(tcp.s2_ledger().events(), channel.s2_ledger().events());
+        assert_eq!(tcp.metrics(), reference.metrics(), "metering must be transport-invariant");
+        assert_eq!(tcp.s2_ledger().events(), reference.s2_ledger().events());
         assert_eq!(tcp.kind(), TransportKind::Tcp);
         assert_eq!(tcp.link(), LinkProfile::ideal());
     }
@@ -2057,30 +2037,30 @@ mod tests {
             TcpOptions::default().with_retry(test_retry()),
         )
         .unwrap();
-        let mut channel = ChannelTransport::new(provision_for(&master, 77).build());
+        let mut reference = InProcessTransport::new(provision_for(&master, 77).build());
 
         let mut rng_a = StdRng::seed_from_u64(11);
         let mut rng_b = StdRng::seed_from_u64(11);
         let a1 = tcp.round_trip(compare_request(&master, 5, &mut rng_a)).unwrap();
-        let b1 = channel.round_trip(compare_request(&master, 5, &mut rng_b)).unwrap();
+        let b1 = reference.round_trip(compare_request(&master, 5, &mut rng_b)).unwrap();
         assert_eq!(a1, b1);
 
         // Sever the connection server-side, mid-session.  The next exchange hits a
         // dead socket, reconnects, resumes and re-sends — invisibly to the caller.
         assert!(server.drop_session(tcp.session()));
         let a2 = tcp.round_trip(compare_request(&master, -6, &mut rng_a)).unwrap();
-        let b2 = channel.round_trip(compare_request(&master, -6, &mut rng_b)).unwrap();
+        let b2 = reference.round_trip(compare_request(&master, -6, &mut rng_b)).unwrap();
         assert_eq!(a2, b2, "the resumed exchange must answer byte-identically");
         assert_eq!(tcp.reconnects(), 1);
         assert_eq!(server.resumed_sessions(), 1);
         assert_eq!(
             tcp.metrics(),
-            channel.metrics(),
+            reference.metrics(),
             "a recovery retransmit must not be re-metered"
         );
         assert_eq!(
             tcp.s2_ledger().events(),
-            channel.s2_ledger().events(),
+            reference.s2_ledger().events(),
             "the resumed session's ledger must match an uninterrupted run"
         );
     }
@@ -2098,13 +2078,13 @@ mod tests {
             TcpOptions::default().with_retry(test_retry()).with_faults(faults),
         )
         .unwrap();
-        let mut channel = ChannelTransport::new(provision_for(&master, 88).build());
+        let mut reference = InProcessTransport::new(provision_for(&master, 88).build());
 
         let mut rng_a = StdRng::seed_from_u64(21);
         let mut rng_b = StdRng::seed_from_u64(21);
         for value in [3, -9] {
             let a = tcp.round_trip(compare_request(&master, value, &mut rng_a)).unwrap();
-            let b = channel.round_trip(compare_request(&master, value, &mut rng_b)).unwrap();
+            let b = reference.round_trip(compare_request(&master, value, &mut rng_b)).unwrap();
             assert_eq!(a, b);
         }
         assert_eq!(tcp.reconnects(), 1);
@@ -2113,8 +2093,8 @@ mod tests {
             1,
             "the faulted frame must be served from the cache, not re-executed"
         );
-        assert_eq!(tcp.s2_ledger().events(), channel.s2_ledger().events());
-        assert_eq!(tcp.metrics(), channel.metrics());
+        assert_eq!(tcp.s2_ledger().events(), reference.s2_ledger().events());
+        assert_eq!(tcp.metrics(), reference.metrics());
     }
 
     #[test]
@@ -2128,13 +2108,13 @@ mod tests {
             TcpOptions::default().with_retry(test_retry()).with_faults(faults),
         )
         .unwrap();
-        let mut channel = ChannelTransport::new(provision_for(&master, 89).build());
+        let mut reference = InProcessTransport::new(provision_for(&master, 89).build());
 
         let mut rng_a = StdRng::seed_from_u64(22);
         let mut rng_b = StdRng::seed_from_u64(22);
         for value in [1, 2, 3, 4] {
             let a = tcp.round_trip(compare_request(&master, value, &mut rng_a)).unwrap();
-            let b = channel.round_trip(compare_request(&master, value, &mut rng_b)).unwrap();
+            let b = reference.round_trip(compare_request(&master, value, &mut rng_b)).unwrap();
             assert_eq!(a, b);
         }
         assert_eq!(tcp.reconnects(), 2, "frames 2 and 4 are dropped before send");
@@ -2143,8 +2123,8 @@ mod tests {
             0,
             "a never-delivered request has nothing cached to replay"
         );
-        assert_eq!(tcp.s2_ledger().events(), channel.s2_ledger().events());
-        assert_eq!(tcp.metrics(), channel.metrics());
+        assert_eq!(tcp.s2_ledger().events(), reference.s2_ledger().events());
+        assert_eq!(tcp.metrics(), reference.metrics());
     }
 
     #[test]

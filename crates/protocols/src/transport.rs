@@ -1,5 +1,5 @@
 //! The inter-cloud message-passing transport: typed S1 ↔ S2 protocol messages, the
-//! [`Transport`] trait that carries them, and its two implementations.
+//! [`Transport`] trait that carries them, and its in-process implementation.
 //!
 //! # Architecture
 //!
@@ -26,20 +26,20 @@
 //!          1 round per request/response pair (Batch counts as one)
 //! ```
 //!
-//! Four implementations:
+//! Three implementations:
 //!
 //! * [`InProcessTransport`] — the fast path: the request value is handed to the engine
 //!   without copying the payload; messages are still *metered* at their exact wire size
 //!   via [`crate::wire::encoded_len`].
-//! * [`ChannelTransport`] — S2 runs on its own thread; every message is actually
-//!   serialized with [`crate::wire`], shipped over an `mpsc` byte channel, and
-//!   deserialized on the far side.  Nothing but bytes crosses the boundary.
 //! * [`crate::multiplex::MultiplexTransport`] — S2 as a session-multiplexing worker
-//!   pool; frames travel inside session-tagged envelopes.
+//!   pool; every message is serialized with [`crate::wire`] and travels inside a
+//!   session-tagged envelope over an `mpsc` byte channel, so nothing but bytes crosses
+//!   the boundary.  [`crate::multiplex::MultiplexTransport::private`] gives one session
+//!   a dedicated single-worker pool.
 //! * [`crate::tcp::TcpTransport`] — S2 as a real networked process: the same envelopes,
 //!   length-prefix-framed over a TCP socket to a [`crate::tcp::TcpCloudServer`].
 //!
-//! All four produce byte-identical protocol outputs, identical leakage ledgers and
+//! All three produce byte-identical protocol outputs, identical leakage ledgers and
 //! identical [`ChannelMetrics`] for the same seed (asserted by
 //! `tests/transport_equivalence.rs`).
 //!
@@ -77,8 +77,6 @@
 //! crossed the wire.
 
 use std::fmt;
-use std::sync::mpsc;
-use std::thread::JoinHandle;
 
 use serde::{Deserialize, Serialize};
 
@@ -383,8 +381,6 @@ impl EqAggregates {
 pub enum TransportKind {
     /// S2 runs in-process behind a direct call (fast path, metered wire sizes).
     InProcess,
-    /// S2 runs on its own thread; messages are serialized over an `mpsc` byte channel.
-    Channel,
     /// S2 is a session-multiplexing worker pool ([`crate::multiplex::MultiplexServer`]);
     /// messages travel in [`crate::multiplex::Envelope`]-framed bytes tagged with a
     /// session id.  When selected here (rather than by connecting to an explicit
@@ -399,17 +395,16 @@ pub enum TransportKind {
     Tcp,
 }
 
-/// Environment variable selecting the default transport (`"channel"`/`"thread"`,
-/// `"multiplex"`/`"mux"`, `"tcp"`/`"socket"`, or anything else — including unset — for
-/// in-process).
+/// Environment variable selecting the default transport (`"multiplex"`/`"mux"`,
+/// `"tcp"`/`"socket"`, or anything else — including unset — for in-process).
 pub const TRANSPORT_ENV: &str = "SECTOPK_TRANSPORT";
 
 impl TransportKind {
     /// The transport selected by the `SECTOPK_TRANSPORT` environment variable
-    /// (`"channel"` / `"thread"` ⇒ [`TransportKind::Channel`], `"multiplex"` / `"mux"`
-    /// ⇒ [`TransportKind::Multiplex`]; anything else, including unset, ⇒
+    /// (`"multiplex"` / `"mux"` ⇒ [`TransportKind::Multiplex`], `"tcp"` / `"socket"` ⇒
+    /// [`TransportKind::Tcp`]; anything else, including unset, ⇒
     /// [`TransportKind::InProcess`]).  Lets the CI matrix run the whole test suite over
-    /// the threaded and multiplexed paths without code changes.
+    /// the multiplexed and socket paths without code changes.
     pub fn from_env() -> Self {
         Self::parse(std::env::var(TRANSPORT_ENV).ok().as_deref())
     }
@@ -418,9 +413,6 @@ impl TransportKind {
     /// without mutating the process environment (which every `TwoClouds::new` reads).
     pub fn parse(value: Option<&str>) -> Self {
         match value {
-            Some(v) if v.eq_ignore_ascii_case("channel") || v.eq_ignore_ascii_case("thread") => {
-                TransportKind::Channel
-            }
             Some(v) if v.eq_ignore_ascii_case("multiplex") || v.eq_ignore_ascii_case("mux") => {
                 TransportKind::Multiplex
             }
@@ -467,7 +459,7 @@ pub trait Transport: fmt::Debug + Send {
     /// Transport-level faults this connection absorbed without surfacing an error to
     /// the caller: reconnect-and-resume cycles after a dropped connection and shed
     /// requests retried to success.  Zero for transports that cannot fault (the
-    /// in-process, threaded and multiplexed paths); the TCP transport counts every
+    /// in-process and multiplexed paths); the TCP transport counts every
     /// absorbed fault so serving reports can separate "queries that failed" from
     /// "faults that were retried away".
     fn faults_absorbed(&self) -> u64 {
@@ -497,7 +489,7 @@ pub(crate) fn response_or_error(response: S2Response) -> Result<S2Response> {
 /// The fast path: the request value is handed to S2's engine directly — nothing is
 /// serialized for transfer or deserialized on arrival.  Messages are still metered at
 /// their exact wire-encoded size via [`wire::encoded_len`] so the bandwidth figures
-/// match the threaded transport byte for byte; that metering does lower each message
+/// match the serializing transports byte for byte; that metering does lower each message
 /// into a transient value tree, a cost that is negligible next to the Paillier /
 /// Damgård–Jurik arithmetic dominating every exchange.
 pub struct InProcessTransport {
@@ -526,8 +518,8 @@ impl Transport for InProcessTransport {
             request.ciphertext_count(),
         );
         // Engine failures become an `S2Response::Error` frame exactly as on the
-        // threaded transport, so the reply is metered identically on both
-        // implementations and the caller sees the same `ProtocolError::Remote` either
+        // serializing transports, so the reply is metered identically on every
+        // implementation and the caller sees the same `ProtocolError::Remote` either
         // way.
         let response = self.engine.handle(&request).unwrap_or_else(S2Response::Error);
         self.metrics.record(
@@ -559,165 +551,6 @@ impl Transport for InProcessTransport {
     }
 }
 
-// ====================================================================================
-// Threaded channel transport
-// ====================================================================================
-
-/// Frame tags of the byte channel (one leading tag byte, then the wire-encoded payload).
-/// Shared with the session-multiplexing transport (`crate::multiplex`), whose envelopes
-/// carry exactly these frames prefixed by a session id.
-pub(crate) mod frame {
-    /// S1 → S2: a protocol request (payload: [`super::S1Request`]).
-    pub const REQUEST: u8 = 0;
-    /// S1 → S2: fetch S2's ledger snapshot (control plane, unmetered).
-    pub const FETCH_LEDGER: u8 = 1;
-    /// S1 → S2: clear S2's ledger and session state (control plane, unmetered).
-    pub const RESET: u8 = 2;
-    /// S1 → S2: terminate the S2 thread (multiplex: one worker of the pool).
-    pub const SHUTDOWN: u8 = 3;
-    /// S1 → S2 (multiplex only): close one session, dropping its server-side state.
-    pub const DISCONNECT: u8 = 4;
-    /// S2 → S1: a protocol response (payload: [`super::S2Response`]).
-    pub const RESPONSE: u8 = 16;
-    /// S2 → S1: the requested ledger snapshot.
-    pub const LEDGER: u8 = 17;
-    /// S2 → S1: acknowledgement of a reset.
-    pub const RESET_DONE: u8 = 18;
-    /// S2 → S1 (multiplex only): acknowledgement of a session disconnect.  Makes
-    /// teardown synchronous, so a session id can be reused the moment its previous
-    /// owner is dropped.
-    pub const DISCONNECT_DONE: u8 = 19;
-}
-
-/// The threaded transport: S2's engine runs on a dedicated thread with no shared state;
-/// every protocol message is serialized to bytes, shipped over an `mpsc` pair, and
-/// deserialized on the far side.
-pub struct ChannelTransport {
-    to_s2: mpsc::Sender<Vec<u8>>,
-    from_s2: mpsc::Receiver<Vec<u8>>,
-    worker: Option<JoinHandle<()>>,
-    metrics: ChannelMetrics,
-}
-
-impl ChannelTransport {
-    /// Spawn the S2 thread around `engine`.
-    pub fn new(mut engine: S2Engine) -> Self {
-        let (to_s2, s2_inbox) = mpsc::channel::<Vec<u8>>();
-        let (s2_outbox, from_s2) = mpsc::channel::<Vec<u8>>();
-        let worker = std::thread::spawn(move || {
-            while let Ok(incoming) = s2_inbox.recv() {
-                let Some((&tag, payload)) = incoming.split_first() else {
-                    continue;
-                };
-                let reply: Vec<u8> = match tag {
-                    frame::REQUEST => {
-                        let response = match wire::from_bytes::<S1Request>(payload) {
-                            Ok(request) => {
-                                engine.handle(&request).unwrap_or_else(S2Response::Error)
-                            }
-                            Err(e) => S2Response::Error(WireError::codec(format!(
-                                "undecodable request: {e}"
-                            ))),
-                        };
-                        framed(frame::RESPONSE, &response)
-                    }
-                    frame::FETCH_LEDGER => framed(frame::LEDGER, engine.ledger()),
-                    frame::RESET => {
-                        engine.reset();
-                        vec![frame::RESET_DONE]
-                    }
-                    frame::SHUTDOWN => break,
-                    _ => framed(frame::RESPONSE, &S2Response::Error(WireError::unknown_frame(tag))),
-                };
-                if s2_outbox.send(reply).is_err() {
-                    break; // S1 hung up.
-                }
-            }
-        });
-        ChannelTransport { to_s2, from_s2, worker: Some(worker), metrics: ChannelMetrics::new() }
-    }
-
-    fn control(&self, tag: u8, expected_reply: u8) -> Result<Vec<u8>> {
-        self.to_s2.send(vec![tag]).map_err(|_| ProtocolError::transport("S2 thread is gone"))?;
-        let reply =
-            self.from_s2.recv().map_err(|_| ProtocolError::transport("S2 thread hung up"))?;
-        match reply.split_first() {
-            Some((&t, payload)) if t == expected_reply => Ok(payload.to_vec()),
-            _ => Err(ProtocolError::transport("unexpected control reply from S2")),
-        }
-    }
-}
-
-/// Prefix the wire encoding of `payload` with a frame tag byte (shared with the
-/// multiplexed transport, whose envelopes carry exactly these frames).
-pub(crate) fn framed<T: Serialize>(tag: u8, payload: &T) -> Vec<u8> {
-    let body = wire::to_bytes(payload);
-    let mut out = Vec::with_capacity(1 + body.len());
-    out.push(tag);
-    out.extend_from_slice(&body);
-    out
-}
-
-impl fmt::Debug for ChannelTransport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ChannelTransport").field("metrics", &self.metrics).finish()
-    }
-}
-
-impl Transport for ChannelTransport {
-    fn round_trip(&mut self, request: S1Request) -> Result<S2Response> {
-        let outgoing = framed(frame::REQUEST, &request);
-        // Metered size = payload only (the tag byte is local framing, not the message).
-        self.metrics.record(Direction::S1ToS2, outgoing.len() - 1, request.ciphertext_count());
-        self.to_s2.send(outgoing).map_err(|_| ProtocolError::transport("S2 thread is gone"))?;
-        let incoming =
-            self.from_s2.recv().map_err(|_| ProtocolError::transport("S2 thread hung up"))?;
-        let payload = match incoming.split_first() {
-            Some((&frame::RESPONSE, payload)) => payload,
-            _ => return Err(ProtocolError::transport("unexpected reply frame from S2")),
-        };
-        let response: S2Response = wire::from_bytes(payload)
-            .map_err(|e| ProtocolError::transport(format!("undecodable response: {e}")))?;
-        self.metrics.record(Direction::S2ToS1, payload.len(), response.ciphertext_count());
-        response_or_error(response)
-    }
-
-    fn metrics(&self) -> ChannelMetrics {
-        self.metrics
-    }
-
-    fn reset_metrics(&mut self) {
-        self.metrics = ChannelMetrics::new();
-    }
-
-    fn s2_ledger(&self) -> LeakageLedger {
-        // A dead S2 thread must surface loudly: returning an empty ledger here would
-        // let "S2 saw nothing but X" assertions pass vacuously.
-        let payload = self
-            .control(frame::FETCH_LEDGER, frame::LEDGER)
-            .expect("S2 thread unavailable while fetching its ledger");
-        wire::from_bytes(&payload).expect("undecodable S2 ledger snapshot")
-    }
-
-    fn reset_s2(&mut self) {
-        self.control(frame::RESET, frame::RESET_DONE)
-            .expect("S2 thread unavailable while resetting its state");
-    }
-
-    fn kind(&self) -> TransportKind {
-        TransportKind::Channel
-    }
-}
-
-impl Drop for ChannelTransport {
-    fn drop(&mut self) {
-        let _ = self.to_s2.send(vec![frame::SHUTDOWN]);
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -725,6 +558,8 @@ mod tests {
     use rand::SeedableRng;
     use sectopk_crypto::keys::MasterKeys;
     use sectopk_crypto::paillier::{generate_keypair, MIN_MODULUS_BITS};
+
+    use crate::multiplex::MultiplexTransport;
 
     fn engine(seed: u64) -> (MasterKeys, S2Engine) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -747,12 +582,12 @@ mod tests {
         let (master, eng_a) = engine(9);
         let (_, eng_b) = engine(9);
         let mut in_process = InProcessTransport::new(eng_a);
-        let mut channel = ChannelTransport::new(eng_b);
+        let mut mux = MultiplexTransport::private(eng_b, LinkProfile::ideal()).unwrap();
 
         let mut rng = StdRng::seed_from_u64(1);
         let req = compare_request(&master, -5, &mut rng);
         let a = in_process.round_trip(req.clone()).unwrap();
-        let b = channel.round_trip(req).unwrap();
+        let b = mux.round_trip(req).unwrap();
         match (&a, &b) {
             (S2Response::Signs(sa), S2Response::Signs(sb)) => {
                 assert_eq!(sa, sb);
@@ -760,9 +595,9 @@ mod tests {
             }
             other => panic!("unexpected responses {other:?}"),
         }
-        assert_eq!(in_process.metrics(), channel.metrics());
+        assert_eq!(in_process.metrics(), mux.metrics());
         assert_eq!(in_process.metrics().rounds, 1);
-        assert_eq!(in_process.s2_ledger().events(), channel.s2_ledger().events());
+        assert_eq!(in_process.s2_ledger().events(), mux.s2_ledger().events());
     }
 
     #[test]
@@ -783,7 +618,7 @@ mod tests {
     #[test]
     fn control_plane_is_unmetered_and_reset_clears_the_ledger() {
         let (master, eng) = engine(11);
-        let mut transport = ChannelTransport::new(eng);
+        let mut transport = MultiplexTransport::private(eng, LinkProfile::ideal()).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         transport.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
         let metered = transport.metrics();
@@ -796,7 +631,7 @@ mod tests {
     #[test]
     fn engine_errors_surface_as_protocol_errors() {
         let (_master, eng) = engine(12);
-        let mut transport = ChannelTransport::new(eng);
+        let mut transport = MultiplexTransport::private(eng, LinkProfile::ideal()).unwrap();
         use crate::wire::WireErrorCode;
         // An EqAggregate with no accumulated bits is a sequencing violation.
         let err = transport
@@ -815,17 +650,17 @@ mod tests {
             matches!(&err, ProtocolError::Remote(e) if e.code == WireErrorCode::MalformedRequest),
             "unexpected error {err:?}"
         );
-        // The engine survives both rejections: the thread is still serving requests.
+        // The engine survives both rejections: the worker is still serving requests.
         assert!(transport.s2_ledger().is_empty());
     }
 
     #[test]
     fn transport_kind_env_parsing() {
-        assert_eq!(TransportKind::parse(Some("channel")), TransportKind::Channel);
-        assert_eq!(TransportKind::parse(Some("CHANNEL")), TransportKind::Channel);
-        assert_eq!(TransportKind::parse(Some("thread")), TransportKind::Channel);
         assert_eq!(TransportKind::parse(Some("multiplex")), TransportKind::Multiplex);
         assert_eq!(TransportKind::parse(Some("MUX")), TransportKind::Multiplex);
+        assert_eq!(TransportKind::parse(Some("tcp")), TransportKind::Tcp);
+        assert_eq!(TransportKind::parse(Some("Socket")), TransportKind::Tcp);
+        assert_eq!(TransportKind::parse(Some("channel")), TransportKind::InProcess);
         assert_eq!(TransportKind::parse(Some("inprocess")), TransportKind::InProcess);
         assert_eq!(TransportKind::parse(Some("garbage")), TransportKind::InProcess);
         assert_eq!(TransportKind::parse(None), TransportKind::InProcess);

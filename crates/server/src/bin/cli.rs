@@ -7,8 +7,8 @@
 //!   crypto cloud never sees plaintext data.
 //! * `query` — run a top-k query end to end against a remote `sectopk-s2d` process:
 //!   re-derive keys and relation from the seed, outsource, open a
-//!   [`sectopk_core::RemoteSession`] over TCP, execute, and print the resolved
-//!   results plus channel metrics.
+//!   [`sectopk_core::DirectSession`] over TCP (`DataOwner::connect_remote`), execute,
+//!   and print the resolved results plus channel metrics.
 //! * `serve` — stand up the S2 listener in-process (same engine as `sectopk-s2d`),
 //!   for single-binary deployments.
 //!

@@ -5,11 +5,13 @@
 //!
 //! A [`QueryServer`] owns the outsourced encrypted relation and a shared
 //! [`MultiplexServer`] — the crypto cloud S2 as a worker-thread pool.  Every client
-//! session is one [`QueryClient`]: an S1-side execution context connected to the shared
-//! S2 over the session-tagged envelope channel.  `QueryClient` implements the
-//! [`Session`] trait from `sectopk-core`, so the serving path and the direct two-cloud
-//! path expose the same `execute(Query) → ResolvedTopK` front door, including the
-//! adaptive variant planner.
+//! session is one [`QueryClient`]: a [`DirectSession`] connected to the shared S2 over
+//! the session-tagged envelope channel (or over TCP to the pool's listener), plus the
+//! session's id, seed, outcome and failure log, and serving metrics.  `QueryClient`
+//! implements the [`Session`] trait from `sectopk-core` by running every query on that
+//! `DirectSession`, so the serving path and the direct two-cloud path share one
+//! `execute(Query) → ResolvedTopK` implementation, including the adaptive variant
+//! planner.
 //!
 //! ```text
 //!   client 1 ── Query stream ──▶ QueryClient 1 (S1 state, session 1) ──┐
@@ -50,11 +52,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-
 use sectopk_core::{
-    execute_with_clouds, AuthorizedClient, Outsourced, PlanDecision, Query, QueryOutcome,
-    ResolvedTopK, Result, SecTopKError, Session, VariantChoice,
+    AuthorizedClient, DirectSession, Outsourced, PlanDecision, Query, QueryOutcome, ResolvedTopK,
+    Result, SecTopKError, Session, VariantChoice,
 };
 use sectopk_crypto::keys::MasterKeys;
 use sectopk_crypto::pool::shard_seed;
@@ -295,17 +295,14 @@ impl ClientMetrics {
     }
 }
 
-/// One S1 serving session: a [`TwoClouds`] context connected to the shared S2 pool,
-/// executing queries through the [`Session`] front door and accumulating its own
-/// metrics, ledgers and failures.
+/// One S1 serving session: a [`DirectSession`] connected to the shared S2 pool, plus
+/// what serving adds on top of it — the session id and seed, the log of outcomes and
+/// failures its [`Session::execute`] calls record, and the serving metric handles.
 #[derive(Debug)]
 pub struct QueryClient {
     session: SessionId,
     seed: u64,
-    clouds: TwoClouds,
-    outsourced: Outsourced,
-    keys: MasterKeys,
-    rng: StdRng,
+    inner: DirectSession,
     outcomes: Vec<QueryOutcome>,
     failures: Vec<QueryFailure>,
     submitted: usize,
@@ -325,7 +322,7 @@ impl QueryClient {
         &mut self,
         request: sectopk_protocols::S1Request,
     ) -> sectopk_protocols::Result<sectopk_protocols::S2Response> {
-        self.clouds.raw_round_trip(request)
+        self.inner.clouds_mut().raw_round_trip(request)
     }
 
     /// Top this session's S1 nonce pools back up while no query is in flight.  Called
@@ -333,7 +330,7 @@ impl QueryClient {
     /// are position-deterministic, so eager refilling never changes protocol bytes).
     pub fn idle_refill(&mut self) {
         let timer = self.client_metrics.idle_refill_nanos.start();
-        self.clouds.idle_refill(
+        self.inner.clouds_mut().idle_refill(
             IDLE_REFILL_PAILLIER_NONCES,
             IDLE_REFILL_DJ_NONCES,
             IDLE_REFILL_OWN_NONCES,
@@ -345,53 +342,32 @@ impl QueryClient {
     /// Close the session and collect its report (metrics, both ledgers, all outcomes
     /// and failures).
     pub fn finish(self) -> SessionReport {
-        let metrics = self.clouds.channel();
-        let s1_ledger = self.clouds.s1_ledger().clone();
-        let s2_ledger = self.clouds.s2_ledger();
-        let transport_failures = self.clouds.faults_absorbed();
         SessionReport {
             session: self.session,
             seed: self.seed,
+            metrics: self.metrics(),
+            s1_ledger: self.s1_ledger(),
+            s2_ledger: self.s2_ledger(),
+            transport_failures: self.inner.clouds().faults_absorbed(),
             outcomes: self.outcomes,
             failures: self.failures,
-            metrics,
-            s1_ledger,
-            s2_ledger,
-            transport_failures,
         }
     }
 }
 
 impl Session for QueryClient {
-    fn num_objects(&self) -> usize {
-        self.outsourced.num_objects()
+    fn direct(&self) -> &DirectSession {
+        &self.inner
     }
 
-    fn num_attributes(&self) -> usize {
-        self.outsourced.num_attributes()
-    }
-
-    fn link(&self) -> LinkProfile {
-        self.clouds.link_profile()
-    }
-
-    fn batching(&self) -> bool {
-        self.clouds.batching()
+    fn direct_mut(&mut self) -> &mut DirectSession {
+        &mut self.inner
     }
 
     fn execute(&mut self, query: &Query) -> Result<ResolvedTopK> {
         let index = self.submitted;
         self.submitted += 1;
-        let outsourced = self.outsourced.clone();
-        let resolved = execute_with_clouds(
-            &mut self.clouds,
-            outsourced.er(),
-            outsourced.object_ids(),
-            &self.keys,
-            &mut self.rng,
-            query,
-        );
-        match resolved {
+        match self.inner.execute(query) {
             Ok(resolved) => {
                 if let Some(plan) = resolved.outcome.stats.plan.as_ref() {
                     self.client_metrics.count_plan(plan);
@@ -404,22 +380,6 @@ impl Session for QueryClient {
                 Err(error)
             }
         }
-    }
-
-    fn metrics(&self) -> ChannelMetrics {
-        self.clouds.channel()
-    }
-
-    fn s1_ledger(&self) -> LeakageLedger {
-        self.clouds.s1_ledger().clone()
-    }
-
-    fn s2_ledger(&self) -> LeakageLedger {
-        self.clouds.s2_ledger()
-    }
-
-    fn reset_accounting(&mut self) {
-        self.clouds.reset_accounting();
     }
 }
 
@@ -480,10 +440,9 @@ impl QueryServer {
 
     /// Expose this server's S2 worker pool on a TCP listener at `addr` (e.g.
     /// `"127.0.0.1:0"` for an ephemeral port) — the `sectopk-s2d` serving shape.
-    /// Networked sessions ([`sectopk_core::RemoteSession`] /
-    /// `DataOwner::connect_remote`) and in-process sessions ([`Self::open_session`])
-    /// are served by the *same* worker pool, so mixing them is safe and their ledgers
-    /// stay per session.
+    /// Networked sessions (`DataOwner::connect_remote`) and in-process sessions
+    /// ([`Self::open_session`]) are served by the *same* worker pool, so mixing them is
+    /// safe and their ledgers stay per session.
     pub fn listen(&self, addr: &str) -> Result<TcpCloudServer> {
         TcpCloudServer::serve_pool(addr, Arc::clone(&self.s2), TcpServerConfig::default()).map_err(
             |e| ProtocolError::transport(format!("binding S2 listener at {addr}: {e}")).into(),
@@ -539,7 +498,7 @@ impl QueryServer {
         link: LinkProfile,
         intra_workers: usize,
     ) -> Result<QueryClient> {
-        let mut clouds = TwoClouds::connect_with_workers(
+        let clouds = TwoClouds::connect_with_workers(
             &self.master,
             seed,
             batching,
@@ -548,19 +507,7 @@ impl QueryServer {
             link,
             intra_workers,
         )?;
-        clouds.set_metrics(&self.metrics, &session.0.to_string());
-        Ok(QueryClient {
-            session,
-            seed,
-            clouds,
-            outsourced: self.outsourced.clone(),
-            keys: self.master.clone(),
-            rng: sectopk_core::resolution_rng(seed),
-            outcomes: Vec::new(),
-            failures: Vec::new(),
-            submitted: 0,
-            client_metrics: ClientMetrics::from_registry(&self.metrics),
-        })
+        Ok(self.client(session, seed, clouds))
     }
 
     /// Open session `i` of a serving run configured by `config` (seed =
@@ -595,19 +542,22 @@ impl QueryServer {
         let mut clouds =
             TwoClouds::connect_tcp(&self.master, seed, config.batching, addr, options)?;
         clouds.set_intra_workers(config.intra_workers);
-        clouds.set_metrics(&self.metrics, &i.to_string());
-        Ok(QueryClient {
-            session: SessionId(i),
+        Ok(self.client(SessionId(i), seed, clouds))
+    }
+
+    /// Wrap a connected session's clouds into a [`QueryClient`] reporting into this
+    /// server's metrics registry.
+    fn client(&self, session: SessionId, seed: u64, mut clouds: TwoClouds) -> QueryClient {
+        clouds.set_metrics(&self.metrics, &session.0.to_string());
+        QueryClient {
+            session,
             seed,
-            clouds,
-            outsourced: self.outsourced.clone(),
-            keys: self.master.clone(),
-            rng: sectopk_core::resolution_rng(seed),
+            inner: DirectSession::new(clouds, self.outsourced.clone(), self.master.clone(), seed),
             outcomes: Vec::new(),
             failures: Vec::new(),
             submitted: 0,
             client_metrics: ClientMetrics::from_registry(&self.metrics),
-        })
+        }
     }
 
     /// The whole lifetime of one serving session: run its query stream (failures are

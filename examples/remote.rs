@@ -1,6 +1,6 @@
 //! Remote: the two-binary deployment in one process — an S2 listener on a real
-//! loopback TCP socket, a [`RemoteSession`] connected to it through
-//! [`DataOwner::connect_remote`], and a full `Qry_F` query over the wire.
+//! loopback TCP socket, a [`DirectSession`](sectopk_core::DirectSession) connected to
+//! it through [`DataOwner::connect_remote`], and a full `Qry_F` query over the wire.
 //!
 //! ```text
 //! cargo run --release -p sectopk-examples --example remote
@@ -69,7 +69,7 @@ fn main() {
 
     // --- Byte-identity against the in-process reference ---------------------------------
     // Same seeds, no socket anywhere: the wire is unobservable in results, metrics, and
-    // leakage ledgers (the transport_equivalence suite pins this for all four
+    // leakage ledgers (the transport_equivalence suite pins this for all three
     // transports).
     let mut reference = owner
         .connect_with(&outsourced, 0xBEEF, TransportKind::InProcess, true)

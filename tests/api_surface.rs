@@ -161,6 +161,6 @@ fn the_facade_exports_the_one_front_door() {
     let _builder_entry: fn(usize) -> sectopk_core::QueryBuilder = Query::top_k;
     let _connect = DataOwner::connect;
     let _outsource = DataOwner::outsource::<rand::rngs::StdRng>;
-    let _execute_engine = sectopk_core::execute_with_clouds::<rand::rngs::StdRng>;
+    let _execute = <sectopk_core::DirectSession as Session>::execute;
     let _plan: fn(&sectopk_core::PlannerInputs) -> sectopk_core::PlanDecision = sectopk_core::plan;
 }

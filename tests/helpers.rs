@@ -15,7 +15,7 @@ use sectopk_core::{
 use sectopk_storage::{ObjectId, Relation, Score, TopKQuery};
 
 /// Paillier modulus size used by the integration tests (small = fast; the protocols are
-/// parameterised over it, see DESIGN.md).
+/// parameterised over it).
 pub const TEST_MODULUS_BITS: usize = 128;
 
 /// Number of EHL PRF keys used by the integration tests.

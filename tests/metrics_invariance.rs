@@ -8,7 +8,7 @@
 //! Three layers of assertion:
 //!
 //! 1. **Invariance** — serving runs (multiplex and TCP) and direct single-session runs
-//!    (all four transports) with an enabled registry vs a disabled one produce
+//!    (all three transports) with an enabled registry vs a disabled one produce
 //!    identical reports.
 //! 2. **Exactness** — deterministic counters (requests by kind, sessions attached,
 //!    planner variants, idle refills, admission rejects, absorbed faults) are asserted
@@ -21,8 +21,8 @@ use rand::SeedableRng;
 use std::time::Duration;
 
 use sectopk_core::{
-    execute_with_clouds, resolution_rng, DataOwner, FaultPlan, Outsourced, Query, RetryPolicy,
-    TcpOptions, VariantChoice,
+    DataOwner, DirectSession, FaultPlan, Outsourced, Query, RetryPolicy, Session, TcpOptions,
+    VariantChoice,
 };
 use sectopk_datasets::{fig3_relation, QueryWorkload, WorkloadSpec};
 use sectopk_metrics::{MetricsSnapshot, Registry};
@@ -111,17 +111,12 @@ fn serving_reports_are_identical_with_metrics_on_and_off() {
     }
 }
 
-/// Metrics on vs off across all four transports on a bare [`TwoClouds`]: ciphertexts,
-/// ledgers and channel metrics are unchanged by instrumentation.
+/// Metrics on vs off across all three transports on a [`DirectSession`] around
+/// hand-built [`TwoClouds`]: ciphertexts, ledgers and channel metrics are unchanged by
+/// instrumentation.
 #[test]
 fn direct_transports_are_identical_with_metrics_on_and_off() {
-    let kinds = [
-        TransportKind::InProcess,
-        TransportKind::Channel,
-        TransportKind::Multiplex,
-        TransportKind::Tcp,
-    ];
-    for kind in kinds {
+    for kind in [TransportKind::InProcess, TransportKind::Multiplex, TransportKind::Tcp] {
         let run = |registry: &Registry| {
             let mut rng = StdRng::seed_from_u64(0x0B5E_0002);
             let owner = DataOwner::new(TEST_MODULUS_BITS, TEST_EHL_KEYS, &mut rng).expect("keygen");
@@ -129,18 +124,10 @@ fn direct_transports_are_identical_with_metrics_on_and_off() {
             let mut clouds =
                 TwoClouds::with_transport(owner.keys(), 0xD00D, kind, true).expect("cloud setup");
             clouds.set_metrics(registry, "direct");
+            let mut session = DirectSession::new(clouds, outsourced, owner.keys().clone(), 0xD00D);
             let query = Query::top_k(2).attribute_indices([0, 1]).build().expect("query builds");
-            let mut res_rng = resolution_rng(0xD00D);
-            let resolved = execute_with_clouds(
-                &mut clouds,
-                outsourced.er(),
-                outsourced.object_ids(),
-                owner.keys(),
-                &mut res_rng,
-                &query,
-            )
-            .expect("query");
-            (resolved.outcome, clouds.channel(), clouds.s1_ledger().clone(), clouds.s2_ledger())
+            let resolved = session.execute(&query).expect("query");
+            (resolved.outcome, session.metrics(), session.s1_ledger(), session.s2_ledger())
         };
         let enabled = Registry::enabled();
         let (outcome_on, channel_on, s1_on, s2_on) = run(&enabled);
@@ -343,18 +330,10 @@ fn trace_hook_sees_every_round() {
             .expect("cloud setup");
     let trace = Arc::new(CountingTrace::default());
     clouds.set_trace_hook(trace.clone());
+    let mut session = DirectSession::new(clouds, outsourced, owner.keys().clone(), 0x7ACE);
     let query = Query::top_k(1).attribute_indices([0, 1]).build().expect("query builds");
-    let mut res_rng = resolution_rng(0x7ACE);
-    execute_with_clouds(
-        &mut clouds,
-        outsourced.er(),
-        outsourced.object_ids(),
-        owner.keys(),
-        &mut res_rng,
-        &query,
-    )
-    .expect("query");
-    let rounds = clouds.channel().rounds;
+    session.execute(&query).expect("query");
+    let rounds = session.metrics().rounds;
     assert!(rounds > 0);
     assert_eq!(trace.enters.load(Ordering::Relaxed), rounds, "one span enter per round");
     assert_eq!(trace.exits.load(Ordering::Relaxed), rounds, "one span exit per round");

@@ -1,34 +1,35 @@
 //! The transport implementations must be observationally identical: for a fixed seed,
-//! running the same workload over `InProcessTransport`, `ChannelTransport` (S2 on its
-//! own thread, every message serialized through the binary wire codec),
-//! `MultiplexTransport` (S2 as a session-multiplexing worker pool, messages in
-//! session-tagged envelopes) and `TcpTransport` (S2 behind a real loopback socket on
-//! an ephemeral port, envelopes length-prefix-framed) must produce **byte-identical**
+//! running the same workload over `InProcessTransport`, `MultiplexTransport` (S2 as a
+//! session-multiplexing worker pool, every message serialized through the binary wire
+//! codec into session-tagged envelopes) and `TcpTransport` (S2 behind a real loopback
+//! socket on an ephemeral port, envelopes length-prefix-framed) must produce
+//! **byte-identical**
 //! query results, identical leakage ledgers on both sides, and identical channel
 //! metrics.  Any divergence means the wire format is lossy, S2 state leaked around the
 //! message boundary, or the framing perturbed the protocol.
 //!
 //! Beyond the fixed worked examples, a property-test conformance harness drives random
-//! relations and random `TopKQuery`s through all four transports.
+//! relations and random `TopKQuery`s through all three transports, and one query stream
+//! runs through all three session front doors (dedicated, remote and served).
 
 use proptest::proptest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sectopk_core::{
-    DataOwner, DirectSession, Query, QueryConfig, QueryOutcome, Session, VariantChoice,
+    DataOwner, DirectSession, PlanDecision, Query, QueryConfig, QueryOutcome, QueryVariant,
+    ResolvedResult, Session, VariantChoice,
 };
-use sectopk_protocols::{ChannelMetrics, LeakageLedger, ScoredItem, TransportKind, TwoClouds};
+use sectopk_protocols::{
+    ChannelMetrics, LeakageLedger, LinkProfile, ScoredItem, SessionId, TransportKind, TwoClouds,
+};
+use sectopk_server::QueryServer;
 use sectopk_storage::{ObjectId, Relation, Row, TopKQuery};
 use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
 
 /// Every transport implementation under test.
-const ALL_TRANSPORTS: [TransportKind; 4] = [
-    TransportKind::InProcess,
-    TransportKind::Channel,
-    TransportKind::Multiplex,
-    TransportKind::Tcp,
-];
+const ALL_TRANSPORTS: [TransportKind; 3] =
+    [TransportKind::InProcess, TransportKind::Multiplex, TransportKind::Tcp];
 
 fn fixed_relation() -> Relation {
     Relation::new(
@@ -107,7 +108,7 @@ fn assert_observations_equal(reference: &Observation, other: &Observation, kind:
 fn assert_equivalent(config: &QueryConfig) {
     let (session_ip, outcome_ip) = run_on(TransportKind::InProcess, config);
     let reference = observe(&session_ip, &outcome_ip);
-    for kind in [TransportKind::Channel, TransportKind::Multiplex, TransportKind::Tcp] {
+    for kind in [TransportKind::Multiplex, TransportKind::Tcp] {
         let (session, outcome) = run_on(kind, config);
         assert_observations_equal(&reference, &observe(&session, &outcome), kind);
     }
@@ -121,20 +122,6 @@ fn full_privacy_query_is_transport_invariant() {
 #[test]
 fn dup_elim_query_is_transport_invariant() {
     assert_equivalent(&QueryConfig::dup_elim());
-}
-
-#[test]
-fn channel_transport_traffic_is_nonzero_and_round_counted() {
-    let (session, outcome) = run_on(TransportKind::Channel, &QueryConfig::full());
-    assert_eq!(session.clouds().transport_kind(), TransportKind::Channel);
-    let metrics = session.metrics();
-    assert!(metrics.bytes > 0);
-    assert!(metrics.rounds > 0);
-    // Strict request/response framing: every S1 message is answered exactly once.
-    assert_eq!(metrics.messages_s1_to_s2, metrics.messages_s2_to_s1);
-    assert_eq!(metrics.rounds, metrics.messages_s1_to_s2);
-    assert_eq!(metrics.outstanding_requests, 0);
-    assert!(outcome.stats.depths_scanned > 0);
 }
 
 #[test]
@@ -161,6 +148,71 @@ fn tcp_transport_traffic_is_nonzero_and_round_counted() {
     assert_eq!(metrics.rounds, metrics.messages_s1_to_s2);
     assert_eq!(metrics.outstanding_requests, 0);
     assert!(outcome.stats.depths_scanned > 0);
+}
+
+/// Everything one session front door observably produced for a query stream.
+type FrontDoorRun = (
+    Vec<(Vec<ResolvedResult>, Vec<ScoredItem>, Option<PlanDecision>)>,
+    ChannelMetrics,
+    LeakageLedger,
+    LeakageLedger,
+);
+
+fn run_stream(session: &mut dyn Session, queries: &[Query]) -> FrontDoorRun {
+    let answers = queries
+        .iter()
+        .map(|query| {
+            let resolved = session.execute(query).expect("query");
+            (resolved.results, resolved.outcome.top_k, resolved.outcome.stats.plan)
+        })
+        .collect();
+    (answers, session.metrics(), session.s1_ledger(), session.s2_ledger())
+}
+
+/// One query stream at one seed through the three session front doors: a dedicated
+/// in-process session, a remote session over TCP to a query server's listener, and a
+/// session served by that server's worker pool.  Resolved answers, encrypted top-k,
+/// plans, channel metrics and both ledgers must coincide.
+#[test]
+fn session_front_doors_are_observationally_identical() {
+    let mut rng = StdRng::seed_from_u64(0xF00D);
+    let owner = DataOwner::new(TEST_MODULUS_BITS, TEST_EHL_KEYS, &mut rng).expect("keygen");
+    let (outsourced, _) = owner.outsource(&fixed_relation(), &mut rng).expect("encryption");
+    let queries: Vec<Query> = [
+        VariantChoice::Fixed(QueryVariant::Full),
+        VariantChoice::Fixed(QueryVariant::DupElim),
+        VariantChoice::Auto,
+    ]
+    .into_iter()
+    .map(|variant| Query::from_spec(TopKQuery::sum(vec![0, 1, 2], 2)).with_variant(variant))
+    .collect();
+    let seed = 0x5E55;
+
+    let server = QueryServer::new(owner.keys(), outsourced.clone(), 1);
+    let listener = server.listen("127.0.0.1:0").expect("S2 listener");
+    let addr = listener.local_addr().to_string();
+    let mut direct = owner
+        .connect_with(&outsourced, seed, TransportKind::InProcess, true)
+        .expect("in-process session");
+    let mut remote = owner.connect_remote(&outsourced, &addr, seed).expect("remote session");
+    let mut served = server
+        .open_session_with_workers(SessionId(1), seed, true, LinkProfile::ideal(), 1)
+        .expect("served session");
+
+    let reference = run_stream(&mut direct, &queries);
+    for (door, session) in
+        [("remote", &mut remote as &mut dyn Session), ("served", &mut served as &mut dyn Session)]
+    {
+        let (answers, metrics, s1_ledger, s2_ledger) = run_stream(session, &queries);
+        for (i, (want, got)) in reference.0.iter().zip(answers.iter()).enumerate() {
+            assert_eq!(want.0, got.0, "{door}: query {i} resolved answers diverge");
+            assert_eq!(want.1, got.1, "{door}: query {i} ciphertexts diverge");
+            assert_eq!(want.2, got.2, "{door}: query {i} plans diverge");
+        }
+        assert_eq!(reference.1, metrics, "{door}: channel metrics diverge");
+        assert_eq!(reference.2.events(), s1_ledger.events(), "{door}: S1 ledgers diverge");
+        assert_eq!(reference.3.events(), s2_ledger.events(), "{door}: S2 ledgers diverge");
+    }
 }
 
 #[test]
@@ -195,7 +247,7 @@ fn join_pipeline_is_transport_invariant() {
     };
 
     let (metrics_ip, ledger_ip, outcome_ip) = run(TransportKind::InProcess);
-    for kind in [TransportKind::Channel, TransportKind::Multiplex, TransportKind::Tcp] {
+    for kind in [TransportKind::Multiplex, TransportKind::Tcp] {
         let (metrics, ledger, outcome) = run(kind);
         assert_eq!(metrics_ip, metrics, "{kind:?}: join metrics diverge");
         assert_eq!(ledger_ip.events(), ledger.events(), "{kind:?}: join ledgers diverge");
